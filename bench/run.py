@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Desk-scene benchmark for surfplan: one workload per invocation.
 
-    python3 bench/run.py --workload desk_plan --seed 0 --seconds 36 --trace 0
+    python3 bench/run.py --workload desk_plan --seed 0 --seconds 30 --trace 0
 
 Run it from the repository root; it imports the package from ``src/``.
-With ``--trace 0`` it times operations for ``--seconds`` seconds and
-prints the end-to-end metrics; with ``--trace 1`` it runs every operation
-twice, plain and traced, checks that both give identical results, and
-prints the per-layer metrics.  Every returned plan is checked; a failed
-check makes the run exit 1.  The last stdout line is the JSON result.
-``--scale desk`` runs one untimed pass at the full criterion-7/8 sizes
-instead (minutes per workload).  See ``bench/README.md``.
+With ``--trace 0`` it times a fixed number of operations, as many as take
+``--seconds`` seconds at the workload's nominal pace, so that a seed always
+gives the same operations, and prints the end-to-end metrics; with
+``--trace 1`` it runs half as many, each twice, plain and traced, checks
+that both give identical results, and prints the per-layer metrics.  Every
+returned plan is checked; a failed check makes the run exit 1.  The last
+stdout line is the JSON result.  ``--scale desk`` runs one untimed pass at
+the full criterion-7/8 sizes instead (minutes per workload).  See
+``bench/README.md``.
 """
 
 import argparse
@@ -27,7 +29,7 @@ import traceback
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, "bench-out")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # name, unit, better, bound
@@ -122,20 +124,13 @@ def outcome_of(workload, inp, raw):
 
 
 def benchmark(workload, seed: int, seconds: float, trace: bool):
-    """Run operations until the time box closes; returns the run's record."""
+    """Run the operations sized by ``seconds``; returns the run's record."""
     from layers import targets
     from tracer import Tracer
 
     tracer = Tracer() if trace else None
     record = {"times": [], "outcomes": [], "tracer": tracer}
-    start = time.perf_counter()
-    index = 0
-    while True:
-        if workload.scale.timed:
-            if index and time.perf_counter() - start >= seconds:
-                break
-        elif index >= workload.fixed_ops():
-            break
+    for index in range(workload.operations(seconds, trace)):
         inp = workload.prepare(seed, index)
         dt, raw = run_op(workload, inp)
         out = outcome_of(workload, inp, raw)
@@ -152,7 +147,6 @@ def benchmark(workload, seed: int, seconds: float, trace: bool):
               f"rates {[round(r, 6) for r in out.rates]}", file=sys.stderr)
         record["times"].append(dt)
         record["outcomes"].append(out)
-        index += 1
     return record
 
 
@@ -173,7 +167,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("bench", "desk"), default="bench")
     args = parser.parse_args(argv)

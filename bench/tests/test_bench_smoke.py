@@ -75,3 +75,14 @@ def test_sweep_solver_failure_counts_as_failed_not_wrong(tmp_path):
     assert silent.failed == n and silent.problems
     crashed = workload.outcome(inp, (1, report, []))
     assert crashed.failed == n and crashed.problems
+
+
+def test_run_size_follows_seconds_not_the_clock(tmp_path):
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(workloads.SCALES["bench"], str(tmp_path))
+        plain = workload.operations(36.0, trace=False)
+        assert plain == round(36.0 / workload.op_s) >= 1, name
+        assert abs(2 * workload.operations(36.0, trace=True) - plain) <= 1, name
+        assert workload.operations(0.0, trace=False) == 1
+    tiny = workloads.WORKLOADS["desk_nodes"](workloads.SCALES["tiny"], str(tmp_path))
+    assert tiny.operations(36.0, trace=False) == tiny.fixed_ops()

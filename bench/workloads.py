@@ -49,7 +49,7 @@ class Scale:
     name: str
     scenes: dict
     deploy: dict = field(default_factory=dict)
-    timed: bool = True      # time-boxed; otherwise one fixed pass
+    timed: bool = True      # sized by --seconds; otherwise one fixed pass
 
     def scene(self, workload: str, seed: int):
         return scenes.desk_scene(**self.scenes[workload], seed=seed)
@@ -114,6 +114,12 @@ def _check_plan(problems, channels, budget, plan, allocation, reported, tau_min)
 class Workload:
     name = ""
     why = ""
+    # Mean seconds of one bench-scale operation on a 2-core x86-64 host.  A
+    # timed run makes as many operations as fit its --seconds at this pace.
+    # The count depends on --seconds alone, never on the clock, so one seed
+    # always gives the same operations, the same results and the same
+    # attempted and failed counts.
+    op_s = 1.0
 
     def __init__(self, scale: Scale, tmp_root: str):
         self.scale = scale
@@ -126,6 +132,12 @@ class Workload:
     def fixed_ops(self) -> int:
         """Operations in one untimed pass."""
         return 1
+
+    def operations(self, seconds: float, trace: bool) -> int:
+        """Operations in one run.  A traced run makes each one twice."""
+        if not self.scale.timed:
+            return self.fixed_ops()
+        return max(1, round(seconds / (self.op_s * (2 if trace else 1))))
 
     def prepare(self, seed: int, index: int):
         """The input of operation ``index``: synthesized outside the timing."""
@@ -150,6 +162,7 @@ class Workload:
 
 class DeskPlan(Workload):
     name = "desk_plan"
+    op_s = 1.0
     why = ("one tight-tolerance single-start plan at budget L: solver core and "
            "cone projections, few B&B nodes, no sweep")
 
@@ -184,6 +197,7 @@ class DeskPlan(Workload):
 
 class DeskSweep(Workload):
     name = "desk_sweep"
+    op_s = 0.92
     why = ("budgets 0..L through the CLI at loose tolerance: many workspaces, "
            "capped B&B, sweep logic, rate nesting and report writing")
 
@@ -278,6 +292,7 @@ class DeskSweep(Workload):
 
 class DeskNodes(Workload):
     name = "desk_nodes"
+    op_s = 0.27
     why = ("one mixed-integer subproblem per budget, outer loop bypassed: "
            "warm-started B&B re-solves on one factored workspace")
 
